@@ -6,22 +6,10 @@
 #include "src/common/logging.h"
 #include "src/join/pmj.h"
 #include "src/join/shj.h"
+#include "src/memory/tracker.h"
 #include "src/profiling/trace.h"
 
 namespace iawj {
-
-RouterState::~RouterState() {
-  mem::Add(-static_cast<int64_t>(last_dispatch_.size()) * kBytesPerEntry);
-}
-
-void RouterState::Note(uint32_t key, int worker) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto [it, inserted] =
-      last_dispatch_.try_emplace(key, static_cast<uint32_t>(worker));
-  it->second = static_cast<uint32_t>(worker);
-  ++dispatched_;
-  if (inserted) mem::Add(kBytesPerEntry);
-}
 
 template <typename Tracer>
 std::string_view EagerJoin<Tracer>::name() const {
@@ -35,9 +23,6 @@ template <typename Tracer>
 Status EagerJoin<Tracer>::Setup(const JoinContext& ctx) {
   distribution_ = std::make_unique<Distribution>(
       scheme_, ctx.spec->num_threads, ctx.spec->jb_group_size);
-  if (scheme_ == DistributionScheme::kJoinBiclique) {
-    router_ = std::make_unique<RouterState>();
-  }
   morsel_ = ctx.MorselMode();
   if (morsel_) {
     // One claim lane per core group (JM: a single lane spanning all
@@ -97,7 +82,6 @@ void EagerJoin<Tracer>::RunWorker(const JoinContext& ctx, int worker) {
   const int threads = ctx.spec->num_threads;
 
   std::unique_ptr<EagerState> state = MakeState(ctx, worker, tracer);
-  RouterState* router = router_.get();
 
   // Morsel mode: S ownership is first-claimant per morsel (see ClaimGrid).
   // One cached (morsel, owned) pair suffices because a worker only ever
@@ -184,7 +168,6 @@ void EagerJoin<Tracer>::RunWorker(const JoinContext& ctx, int worker) {
       const Tuple& t = r[ir];
       tracer.Access(&t, sizeof(Tuple));
       if (dist.OwnsR(worker, t, ir)) {
-        if (jb) router->Note(t.key, worker);
         if (physical) {
           local_r.PushBack(t);
           state->OnR(local_r[local_r.size() - 1], sink, sw);
@@ -203,7 +186,6 @@ void EagerJoin<Tracer>::RunWorker(const JoinContext& ctx, int worker) {
       tracer.Access(&t, sizeof(Tuple));
       if (owns_s(t, is)) {
         if (morsel) ++sched->stats(worker).tuples;
-        if (jb) router->Note(t.key, worker);
         if (physical) {
           local_s.PushBack(t);
           state->OnS(local_s[local_s.size() - 1], sink, sw);

@@ -7,9 +7,13 @@
 // paper describes in §4.2.2. Owned tuples are fed to the worker's local join
 // state, which emits matches eagerly.
 //
-// The JB router keeps per-key dispatch state ("status maintenance"), whose
-// cost is the partition-phase overhead the paper isolates in §5.3.3. The
-// physical-partitioning knob (§5.5, Figure 17) switches between copying
+// JB routes by content without router state: Distribution::OwnsR/OwnsS
+// (and, in morsel mode, the per-group ClaimGrid) decide ownership from the
+// key alone, so JB's partition-phase cost is ownership filtering plus the
+// replication of R within a core group of size g. The §5.3.3 "status
+// maintenance" of the paper's distributed router has no counterpart here.
+//
+// The physical-partitioning knob (§5.5, Figure 17) switches between copying
 // owned tuples into worker-local buffers (value tables, better locality)
 // and referencing the shared input arrays (pointer tables, cheaper
 // partitioning).
@@ -17,11 +21,8 @@
 #define IAWJ_JOIN_EAGER_ENGINE_H_
 
 #include <memory>
-#include <mutex>
-#include <unordered_map>
 
 #include "src/join/context.h"
-#include "src/memory/tracker.h"
 #include "src/stream/distribution.h"
 
 namespace iawj {
@@ -64,29 +65,6 @@ struct EagerStateConfig {
 
 enum class EagerKind { kShj, kPmj };
 
-// JB router dispatch state (§5.3.3): after each tuple is routed, the system
-// records the dispatch result per key for future (balance-aware) routing
-// decisions. The structure is shared — it is the router's state, not the
-// workers' — so updates synchronize, which is exactly the "status
-// maintenance" overhead the paper isolates, and its footprint shows up
-// early in the memory-over-time profile (Figure 19b).
-class RouterState {
- public:
-  ~RouterState();
-
-  // Records that `worker` received a tuple with `key`.
-  void Note(uint32_t key, int worker);
-
-  uint64_t dispatched() const { return dispatched_; }
-
- private:
-  static constexpr int64_t kBytesPerEntry = 48;  // node + bucket estimate
-
-  std::mutex mu_;
-  std::unordered_map<uint32_t, uint32_t> last_dispatch_;
-  uint64_t dispatched_ = 0;
-};
-
 template <typename Tracer = NullTracer>
 class EagerJoin : public JoinAlgorithm {
  public:
@@ -97,7 +75,6 @@ class EagerJoin : public JoinAlgorithm {
 
   Status Setup(const JoinContext& ctx) override;
   void RunWorker(const JoinContext& ctx, int worker) override;
-  void Teardown() override { router_.reset(); }
 
  private:
   std::unique_ptr<EagerState> MakeState(const JoinContext& ctx, int worker,
@@ -106,7 +83,6 @@ class EagerJoin : public JoinAlgorithm {
   EagerKind kind_;
   DistributionScheme scheme_;
   std::unique_ptr<Distribution> distribution_;
-  std::unique_ptr<RouterState> router_;  // JB only
 
   // Morsel mode (join/scheduler.h): S ownership becomes first-claimant per
   // morsel instead of seq round-robin. R ownership is replication-defined

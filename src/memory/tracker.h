@@ -3,7 +3,7 @@
 // The paper's Figure 19b plots resident memory of each algorithm over time.
 // Hardware-level RSS sampling is too coarse (and polluted by the benchmark
 // harness itself), so every substrate that owns bulk memory — hash tables,
-// partition buffers, sorted runs, router state — reports its allocations
+// partition buffers, sorted runs, spill pages — reports its allocations
 // here. A sampler thread (see profiling/resource.h) turns the counter into a
 // time series.
 //

@@ -29,8 +29,10 @@ inline constexpr FlagInfo kFlags[] = {
     {"zipf-key", "<theta>", "micro: key skew, 0 = uniform (default 0)"},
     {"zipf-ts", "<theta>",
      "micro: timestamp skew, 0 = uniform (default 0)"},
-    {"size-r", "<tuples>", "micro: fixed |R|, 0 = rate*window (default 0)"},
-    {"size-s", "<tuples>", "micro: fixed |S|, 0 = rate*window (default 0)"},
+    {"size-r", "<tuples>",
+     "micro: fixed |R| per window, 0 = rate*window (default 0)"},
+    {"size-s", "<tuples>",
+     "micro: fixed |S| per window, 0 = rate*window (default 0)"},
     {"seed", "<n>", "micro: generator seed (default 42)"},
     {"r", "<path>", "file: R input, .csv or binary (required)"},
     {"s", "<path>", "file: S input, .csv or binary (required)"},
@@ -63,7 +65,9 @@ inline constexpr FlagInfo kFlags[] = {
      "morsel scheduler grain, 0 = $IAWJ_MORSEL_SIZE or 16384 (default 0)"},
 
     // Execution and supervision.
-    {"windows", "<n>", "tumbling windows to run (default 1)"},
+    {"windows", "<n>",
+     "tumbling windows to run; micro generates n windows of data "
+     "(default 1)"},
     {"deadline", "<ms>",
      "per-run deadline, 0 = $IAWJ_DEADLINE_MS (default 0)"},
     {"retry", "<n>", "supervisor: max attempts, 0 = $IAWJ_RETRY (default 0)"},

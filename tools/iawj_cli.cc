@@ -12,9 +12,11 @@
 // fallbacks, result complete) or 10 (degraded: windows skipped or tuples
 // shed, loss accounted); see README "Exit codes".
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <span>
 #include <string>
+#include <vector>
 
 #include "src/common/flags.h"
 #include "src/datagen/micro.h"
@@ -90,6 +92,46 @@ int Fail(const Status& status) {
                std::string(StatusCodeName(status.code())).c_str(),
                std::string(status.message()).c_str());
   return ExitCodeFor(status.code());
+}
+
+// The metrics row of a multi-window run: total inputs over the summed
+// window time, the median window's p95 latency and t50, and the largest
+// window footprint. Like the pipeline totals, it leaves out failed and
+// skipped windows.
+struct PipelineRow {
+  double tput_per_ms = 0;
+  double p95_ms = 0;
+  double t50_ms = 0;
+  double peak_mb = 0;
+};
+
+double Median(std::vector<double> values) {
+  if (values.empty()) return 0;
+  std::sort(values.begin(), values.end());
+  const size_t mid = values.size() / 2;
+  return values.size() % 2 == 1 ? values[mid]
+                                : (values[mid - 1] + values[mid]) / 2;
+}
+
+PipelineRow SummarizeWindows(const PipelineResult& pipeline) {
+  PipelineRow row;
+  std::vector<double> p95, t50;
+  for (const WindowRun& window : pipeline.windows) {
+    const RunResult& result = window.result;
+    if (!result.status.ok()) continue;
+    p95.push_back(result.p95_latency_ms);
+    t50.push_back(result.progress.TimeToFractionMs(0.5));
+    row.peak_mb =
+        std::max(row.peak_mb,
+                 static_cast<double>(result.peak_tracked_bytes) / (1 << 20));
+  }
+  if (pipeline.total_elapsed_ms > 0) {
+    row.tput_per_ms = static_cast<double>(pipeline.total_inputs) /
+                      pipeline.total_elapsed_ms;
+  }
+  row.p95_ms = Median(std::move(p95));
+  row.t50_ms = Median(std::move(t50));
+  return row;
 }
 
 // Client mode (--connect): stream the generated workload to an iawj_serve
@@ -178,19 +220,27 @@ int Run(int argc, char** argv) {
   const std::string workload = flags.GetString("workload", "micro");
   const auto window_ms =
       static_cast<uint32_t>(flags.GetInt("window", 1000));
+  const auto windows = static_cast<uint32_t>(flags.GetInt("windows", 1));
   Stream r, s;
   std::string workload_name = workload;
   if (workload == "micro") {
+    // The generated span covers every tumbling window; rates and fixed
+    // sizes stay per window, so each window holds a full window of data.
+    const uint64_t span = std::max<uint32_t>(windows, 1);
+    if (window_ms * span > UINT32_MAX) {
+      return Fail(Status::InvalidArgument(
+          "--window times --windows exceeds the 32-bit timestamp range"));
+    }
     MicroSpec spec;
     spec.rate_r = static_cast<uint64_t>(flags.GetInt("rate", 1600));
     spec.rate_s = static_cast<uint64_t>(flags.GetInt("rate-s", 0));
     if (spec.rate_s == 0) spec.rate_s = spec.rate_r;
-    spec.window_ms = window_ms;
+    spec.window_ms = static_cast<uint32_t>(window_ms * span);
     spec.dupe = flags.GetDouble("dupe", 1.0);
     spec.zipf_key = flags.GetDouble("zipf-key", 0.0);
     spec.zipf_ts = flags.GetDouble("zipf-ts", 0.0);
-    spec.size_r = static_cast<uint64_t>(flags.GetInt("size-r", 0));
-    spec.size_s = static_cast<uint64_t>(flags.GetInt("size-s", 0));
+    spec.size_r = static_cast<uint64_t>(flags.GetInt("size-r", 0)) * span;
+    spec.size_s = static_cast<uint64_t>(flags.GetInt("size-s", 0)) * span;
     spec.seed = static_cast<uint64_t>(flags.GetInt("seed", 42));
     MicroWorkload micro;
     if (const Status st = GenerateMicro(spec, &micro); !st.ok()) {
@@ -286,7 +336,6 @@ int Run(int argc, char** argv) {
   const double disorder_shuffle = flags.GetDouble("disorder-shuffle", 0);
 
   const std::string algo = flags.GetString("algo", "npj");
-  const auto windows = static_cast<uint32_t>(flags.GetInt("windows", 1));
 
   // Client mode (serve/client.h): non-empty --connect streams the workload
   // to a daemon instead of executing locally; dispatched below once every
@@ -351,7 +400,7 @@ int Run(int argc, char** argv) {
                   "pmj-jb|hhj)");
     }
     if (const Status status = spec.Validate(id); !status.ok()) {
-      return Fail(status.ToString());
+      return Fail(status);
     }
     return RunConnected(connect, tenant, id, spec, r, s, batch_ms,
                         workload_name);
@@ -391,8 +440,10 @@ int Run(int argc, char** argv) {
       run_status = pipeline.status;
       recovery = pipeline.recovery;
       ingest = pipeline.ingest;
+      const PipelineRow row = SummarizeWindows(pipeline);
       add_row("adaptive", static_cast<uint32_t>(pipeline.windows.size()),
-              pipeline.total_inputs, pipeline.total_matches, 0, 0, 0, 0);
+              pipeline.total_inputs, pipeline.total_matches,
+              row.tput_per_ms, row.p95_ms, row.t50_ms, row.peak_mb);
     } else {
       AdaptiveChoice choice;
       const RunResult result = RunAdaptive(r, s, spec, options, &choice);
@@ -413,16 +464,18 @@ int Run(int argc, char** argv) {
                   "pmj-jb|hhj|adaptive)");
     }
     if (const Status status = spec.Validate(id); !status.ok()) {
-      return Fail(status.ToString());
+      return Fail(status);
     }
     if (windows > 1) {
       const PipelineResult pipeline = RunTumblingWindows(id, r, s, spec);
       run_status = pipeline.status;
       recovery = pipeline.recovery;
       ingest = pipeline.ingest;
+      const PipelineRow row = SummarizeWindows(pipeline);
       add_row(std::string(AlgorithmName(id)),
               static_cast<uint32_t>(pipeline.windows.size()),
-              pipeline.total_inputs, pipeline.total_matches, 0, 0, 0, 0);
+              pipeline.total_inputs, pipeline.total_matches,
+              row.tput_per_ms, row.p95_ms, row.t50_ms, row.peak_mb);
     } else if (counters == "sim") {
       // Simulated counters need the traced algorithm variant, which runs
       // outside the supervisor (deterministic replay, no retries).
